@@ -1,6 +1,5 @@
 // B11 (ablations): design-choice sweeps called out in DESIGN.md —
-// block compression on/off, Bloom filter on/weak/off for point misses,
-// block cache on/off for hot reads, restart-interval space/time trade.
+// restart-interval space/time trade and batch vs single-op ingest.
 
 #include <benchmark/benchmark.h>
 
@@ -41,123 +40,22 @@ uint64_t DirBytes(const std::string& dir) {
   return total;
 }
 
-// range(0): 0 = raw, 1 = compressed.
-void BM_AblateCompression(benchmark::State& state) {
-  bool compress = state.range(0) != 0;
-  std::string dir = FreshDir(compress ? "lz" : "raw");
-  EngineOptions options;
-  options.compress_blocks = compress;
-  auto engine = StorageEngine::Open(dir, options);
-  FillAndCompact(engine->get(), 50000);
-  state.counters["table_bytes"] = static_cast<double>(DirBytes(dir));
-  Random rng(3);
-  for (auto _ : state) {
-    auto hit =
-        (*engine)->Get(StringPrintf("author/%08zu/entry", rng.Uniform(50000)));
-    benchmark::DoNotOptimize(hit.ok());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  AUTHIDX_CHECK_OK((*engine)->Close());
-  engine->reset();
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_AblateCompression)->Arg(0)->Arg(1);
-
-// range(0): bloom bits per key (1 ~ nearly off, 10 default).
-void BM_AblateBloomOnMisses(benchmark::State& state) {
-  int bits = static_cast<int>(state.range(0));
-  std::string dir = FreshDir("bloom");
-  EngineOptions options;
-  options.bloom_bits_per_key = bits;
-  options.block_cache_bytes = 0;  // Isolate the filter effect.
-  auto engine = StorageEngine::Open(dir, options);
-  FillAndCompact(engine->get(), 50000);
-  Random rng(4);
-  for (auto _ : state) {
-    // Probe keys inside the run's key range (so the level-1 range check
-    // cannot short-circuit) but never present.
-    auto hit = (*engine)->Get(
-        StringPrintf("author/%08zu/absent", rng.Uniform(50000)));
-    benchmark::DoNotOptimize(hit.ok());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.counters["bits_per_key"] = bits;
-  // Cross-check via the obs registry: every probe key is absent, so
-  // filter consultations that were NOT short-circuited are false
-  // positives — the measured FPR regenerates from the counters alone.
-  {
-    auto snap = (*engine)->metrics().Snapshot();
-    double checks = static_cast<double>(
-        snap.Find("authidx_bloom_checks_total")->counter);
-    double negatives = static_cast<double>(
-        snap.Find("authidx_bloom_negatives_total")->counter);
-    state.counters["obs_bloom_fpr"] =
-        checks > 0 ? (checks - negatives) / checks : 0.0;
-  }
-  AUTHIDX_CHECK_OK((*engine)->Close());
-  engine->reset();
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_AblateBloomOnMisses)->Arg(1)->Arg(4)->Arg(10)->Arg(16);
-
-// range(0): cache bytes (0 = off).
-void BM_AblateBlockCache(benchmark::State& state) {
-  std::string dir = FreshDir("cache");
-  EngineOptions options;
-  options.block_cache_bytes = static_cast<size_t>(state.range(0));
-  auto engine = StorageEngine::Open(dir, options);
-  FillAndCompact(engine->get(), 50000);
-  // Hot working set: 100 keys hammered repeatedly.
-  Random rng(5);
-  std::vector<std::string> hot;
-  for (int i = 0; i < 100; ++i) {
-    hot.push_back(StringPrintf("author/%08zu/entry", rng.Uniform(50000)));
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    auto hit = (*engine)->Get(hot[i++ % hot.size()]);
-    benchmark::DoNotOptimize(hit.ok());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.counters["cache_hit_rate"] =
-      (*engine)->block_cache().hits() + (*engine)->block_cache().misses() > 0
-          ? static_cast<double>((*engine)->block_cache().hits()) /
-                static_cast<double>((*engine)->block_cache().hits() +
-                                    (*engine)->block_cache().misses())
-          : 0.0;
-  // Same rate recomputed from the obs registry (independent plumbing:
-  // BlockCache mirrors into bound registry counters) — the two must
-  // agree, which EXPERIMENTS.md B11 records as the metrics check.
-  {
-    auto snap = (*engine)->metrics().Snapshot();
-    double hits = static_cast<double>(
-        snap.Find("authidx_block_cache_hits_total")->counter);
-    double misses = static_cast<double>(
-        snap.Find("authidx_block_cache_misses_total")->counter);
-    state.counters["obs_cache_hit_rate"] =
-        hits + misses > 0 ? hits / (hits + misses) : 0.0;
-  }
-  AUTHIDX_CHECK_OK((*engine)->Close());
-  engine->reset();
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_AblateBlockCache)->Arg(0)->Arg(16 << 20);
-
 // range(0): restart interval; counter reports resulting table bytes.
 void BM_AblateRestartInterval(benchmark::State& state) {
   int interval = static_cast<int>(state.range(0));
   std::string dir = FreshDir("restart");
   EngineOptions options;
   options.restart_interval = interval;
-  options.block_cache_bytes = 0;
   auto engine = StorageEngine::Open(dir, options);
   FillAndCompact(engine->get(), 50000);
   state.counters["table_bytes"] = static_cast<double>(DirBytes(dir));
   Random rng(6);
-  for (auto _ : state) {
-    auto hit =
-        (*engine)->Get(StringPrintf("author/%08zu/entry", rng.Uniform(50000)));
-    benchmark::DoNotOptimize(hit.ok());
+  {
+    auto it = (*engine)->NewIterator();
+    for (auto _ : state) {
+      it->Seek(StringPrintf("author/%08zu/entry", rng.Uniform(50000)));
+      benchmark::DoNotOptimize(it->Valid());
+    }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   AUTHIDX_CHECK_OK((*engine)->Close());

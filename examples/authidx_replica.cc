@@ -206,6 +206,12 @@ void HandleStopSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
 }  // namespace
 
 int main(int argc, char** argv) {
+  // First, before the catalog opens (which rebuilds every index and can
+  // take seconds): a stop signal at any later point must stop cleanly,
+  // never kill the process mid-open or mid-start.
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
+
   Args args;
   if (!ParseArgs(argc, argv, &args)) {
     return Usage();
@@ -242,6 +248,10 @@ int main(int argc, char** argv) {
       core::AuthorIndex::OpenReplica(args.db, engine_options);
   if (!catalog.ok()) {
     return Fail(catalog.status());
+  }
+  if (g_stop.load(std::memory_order_relaxed)) {
+    std::printf("stopped before following\n");  // Stopped while opening.
+    return 0;
   }
 
   net::ReplicaOptions replica_options;
@@ -346,8 +356,6 @@ int main(int argc, char** argv) {
               (*catalog)->entry_count());
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
   while (!g_stop.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }

@@ -202,9 +202,26 @@ std::atomic<bool> g_stop{false};
 
 void HandleStopSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
+// Persists pending writes and reports the stop; a failed flush is
+// printed but keeps the exit status 0, since acknowledged adds are
+// already in the WAL and replay on the next open.
+int FlushAndStop(core::AuthorIndex* catalog) {
+  if (Status s = catalog->Flush(); !s.ok()) {
+    std::fprintf(stderr, "flush on shutdown: %s\n", s.ToString().c_str());
+  }
+  std::printf("stopped\n");
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // First, before the catalog opens (which rebuilds every index and can
+  // take seconds): a stop signal at any later point must drain and
+  // exit cleanly, never kill the process mid-open or mid-start.
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
+
   Args args;
   if (!ParseArgs(argc, argv, &args)) {
     return Usage();
@@ -234,6 +251,9 @@ int main(int argc, char** argv) {
       core::AuthorIndex::OpenPersistent(args.db, engine_options);
   if (!catalog.ok()) {
     return Fail(catalog.status());
+  }
+  if (g_stop.load(std::memory_order_relaxed)) {
+    return FlushAndStop(catalog->get());  // Stopped while opening.
   }
   if (args.slow_ms >= 0) {
     (*catalog)->SetSlowQueryThreshold(
@@ -323,8 +343,6 @@ int main(int argc, char** argv) {
               (*catalog)->entry_count());
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
   while (!g_stop.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
@@ -333,9 +351,5 @@ int main(int argc, char** argv) {
   if (args.http_port >= 0) {
     http.Stop();
   }
-  if (Status s = (*catalog)->Flush(); !s.ok()) {
-    std::fprintf(stderr, "flush on shutdown: %s\n", s.ToString().c_str());
-  }
-  std::printf("stopped\n");
-  return 0;
+  return FlushAndStop(catalog->get());
 }

@@ -174,7 +174,7 @@ Status AuthorIndex::ApplyReplicatedRecord(std::string_view record) {
     Entry entry;
   };
   std::vector<PendingEntry> pending;
-  bool has_foreign_ops = false;  // Deletes / non-entry keys.
+  bool has_foreign_ops = false;  // Non-entry keys.
   Status decode_error;
   Status parsed = storage::StorageEngine::ForEachRecordOp(
       record,
@@ -194,8 +194,7 @@ Status AuthorIndex::ApplyReplicatedRecord(std::string_view record) {
           return;
         }
         pending.push_back({id, std::move(entry).value()});
-      },
-      [&](std::string_view) { has_foreign_ops = true; });
+      });
   AUTHIDX_RETURN_NOT_OK(parsed);
   AUTHIDX_RETURN_NOT_OK(decode_error);
 

@@ -57,8 +57,6 @@ class Block {
   /// Iterator over the block's entries.
   std::unique_ptr<Iterator> NewIterator() const;
 
-  size_t size_bytes() const { return contents_.size(); }
-
  private:
   class Iter;
 

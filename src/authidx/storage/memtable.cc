@@ -6,7 +6,6 @@ namespace authidx::storage {
 
 namespace {
 constexpr char kTagPut = 'P';
-constexpr char kTagDelete = 'D';
 }  // namespace
 
 struct MemTable::Node {
@@ -98,31 +97,12 @@ void MemTable::Put(std::string_view key, std::string_view value) {
   Upsert(key, TagPut(value));
 }
 
-void MemTable::Delete(std::string_view key) {
-  WriterMutexLock lock(mu_);
-  Upsert(key, TagTombstone());
-}
-
-MemTable::GetResult MemTable::Get(std::string_view key,
-                                  std::string* value) const {
-  ReaderMutexLock lock(mu_);
-  Node* node = FindGreaterOrEqual(key, nullptr);
-  if (node == nullptr || node->key != key) {
-    return GetResult::kNotFound;
-  }
-  if (IsTombstoneValue(node->value)) {
-    return GetResult::kDeleted;
-  }
-  value->assign(StripTag(node->value));
-  return GetResult::kFound;
+bool MemTable::IsPutValue(std::string_view tagged) {
+  return !tagged.empty() && tagged.front() == kTagPut;
 }
 
 std::string_view MemTable::StripTag(std::string_view tagged) {
   return tagged.empty() ? tagged : tagged.substr(1);
-}
-
-bool MemTable::IsTombstoneValue(std::string_view tagged) {
-  return !tagged.empty() && tagged.front() == kTagDelete;
 }
 
 std::string MemTable::TagPut(std::string_view value) {
@@ -132,8 +112,6 @@ std::string MemTable::TagPut(std::string_view value) {
   out.append(value);
   return out;
 }
-
-std::string MemTable::TagTombstone() { return std::string(1, kTagDelete); }
 
 // Each operation takes the table's lock in shared mode: node links and
 // value views may be written concurrently by Upsert (exclusive), but a

@@ -10,7 +10,7 @@
 
 namespace authidx::storage {
 
-/// A group of Put/Delete operations applied atomically: the whole batch
+/// A group of Put operations applied atomically: the whole batch
 /// is one WAL record, so recovery either replays all of it or none
 /// (torn-tail discard). Bulk ingest uses this to amortize WAL framing
 /// and syncs.
@@ -19,7 +19,6 @@ class WriteBatch {
   WriteBatch() = default;
 
   void Put(std::string_view key, std::string_view value);
-  void Delete(std::string_view key);
   void Clear();
 
   /// Number of operations.
@@ -32,12 +31,12 @@ class WriteBatch {
   /// Approximate in-memory/WAL footprint.
   size_t ByteSize() const { return rep_.size(); }
 
-  /// Decodes `rep` (as produced by this class), invoking the callbacks
-  /// per operation. Returns Corruption on malformed input.
+  /// Decodes `rep` (as produced by this class), invoking `on_put` per
+  /// operation. Returns Corruption on malformed input, including the
+  /// retired 'D' (delete) op.
   static Status Iterate(
       std::string_view rep,
-      const std::function<void(std::string_view, std::string_view)>& on_put,
-      const std::function<void(std::string_view)>& on_delete);
+      const std::function<void(std::string_view, std::string_view)>& on_put);
 
  private:
   std::string rep_;

@@ -6,12 +6,20 @@
 #include <fstream>
 #include <map>
 
+#include "authidx/common/coding.h"
 #include "authidx/common/random.h"
 #include "authidx/common/strings.h"
+#include "engine_scan.h"
 #include "fault_env.h"
 
 namespace authidx::storage {
 namespace {
+
+using Contents = std::map<std::string, std::string>;
+
+Contents Scan(StorageEngine* engine) {
+  return *tests::ScanAll(engine);
+}
 
 class EngineTest : public ::testing::Test {
  protected:
@@ -32,51 +40,31 @@ class EngineTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(EngineTest, PutGetDeleteInMemtable) {
+TEST_F(EngineTest, PutAndOverwriteInMemtable) {
   auto engine = Open();
   ASSERT_TRUE(engine->Put("k1", "v1").ok());
   ASSERT_TRUE(engine->Put("k2", "v2").ok());
-  auto hit = engine->Get("k1");
-  ASSERT_TRUE(hit.ok());
-  ASSERT_TRUE(hit->has_value());
-  EXPECT_EQ(**hit, "v1");
-  ASSERT_TRUE(engine->Delete("k1").ok());
-  hit = engine->Get("k1");
-  ASSERT_TRUE(hit.ok());
-  EXPECT_FALSE(hit->has_value());
-  EXPECT_FALSE((*engine->Get("missing")).has_value());
+  EXPECT_EQ(Scan(engine.get()), (Contents{{"k1", "v1"}, {"k2", "v2"}}));
+  ASSERT_TRUE(engine->Put("k1", "v1b").ok());
+  EXPECT_EQ(*tests::ScanGet(engine.get(), "k1"),
+            std::optional<std::string>("v1b"));
+  EXPECT_EQ(*tests::ScanGet(engine.get(), "k0"), std::nullopt);
+  EXPECT_EQ(*tests::ScanGet(engine.get(), "missing"), std::nullopt);
 }
 
 TEST_F(EngineTest, FlushMovesDataToTables) {
   auto engine = Open();
+  Contents model;
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(engine->Put(StringPrintf("key%04d", i),
-                            StringPrintf("val%d", i)).ok());
+    model[StringPrintf("key%04d", i)] = StringPrintf("val%d", i);
+  }
+  for (const auto& [key, value] : model) {
+    ASSERT_TRUE(engine->Put(key, value).ok());
   }
   ASSERT_TRUE(engine->Flush().ok());
   EXPECT_EQ(engine->stats().flushes, 1u);
   EXPECT_EQ(engine->stats().l0_files, 1);
-  for (int i = 0; i < 100; i += 9) {
-    auto hit = engine->Get(StringPrintf("key%04d", i));
-    ASSERT_TRUE(hit.ok());
-    ASSERT_TRUE(hit->has_value());
-    EXPECT_EQ(**hit, StringPrintf("val%d", i));
-  }
-}
-
-TEST_F(EngineTest, TombstonesShadowFlushedData) {
-  auto engine = Open();
-  ASSERT_TRUE(engine->Put("doomed", "alive").ok());
-  ASSERT_TRUE(engine->Flush().ok());
-  ASSERT_TRUE(engine->Delete("doomed").ok());
-  // Newer memtable tombstone shadows the table value.
-  EXPECT_FALSE((*engine->Get("doomed")).has_value());
-  // Still shadowed after the tombstone itself is flushed.
-  ASSERT_TRUE(engine->Flush().ok());
-  EXPECT_FALSE((*engine->Get("doomed")).has_value());
-  // And still gone after compaction drops the tombstone.
-  ASSERT_TRUE(engine->Compact().ok());
-  EXPECT_FALSE((*engine->Get("doomed")).has_value());
+  EXPECT_EQ(Scan(engine.get()), model);
 }
 
 TEST_F(EngineTest, OverwriteAcrossFlushesKeepsNewest) {
@@ -86,9 +74,9 @@ TEST_F(EngineTest, OverwriteAcrossFlushesKeepsNewest) {
   ASSERT_TRUE(engine->Put("k", "v2").ok());
   ASSERT_TRUE(engine->Flush().ok());
   ASSERT_TRUE(engine->Put("k", "v3").ok());
-  EXPECT_EQ(**engine->Get("k"), "v3");
+  EXPECT_EQ(Scan(engine.get()), (Contents{{"k", "v3"}}));
   ASSERT_TRUE(engine->Compact().ok());
-  EXPECT_EQ(**engine->Get("k"), "v3");
+  EXPECT_EQ(Scan(engine.get()), (Contents{{"k", "v3"}}));
 }
 
 TEST_F(EngineTest, ReopenRecoversFlushedAndWalData) {
@@ -100,8 +88,8 @@ TEST_F(EngineTest, ReopenRecoversFlushedAndWalData) {
     ASSERT_TRUE(engine->Close().ok());
   }
   auto engine = Open();
-  EXPECT_EQ(**engine->Get("flushed"), "f");
-  EXPECT_EQ(**engine->Get("in_wal_only"), "w");
+  EXPECT_EQ(Scan(engine.get()),
+            (Contents{{"flushed", "f"}, {"in_wal_only", "w"}}));
 }
 
 TEST_F(EngineTest, CrashRecoveryFromWalWithoutClose) {
@@ -110,7 +98,6 @@ TEST_F(EngineTest, CrashRecoveryFromWalWithoutClose) {
     options.sync_writes = true;
     auto engine = Open(options);
     ASSERT_TRUE(engine->Put("durable", "yes").ok());
-    ASSERT_TRUE(engine->Delete("durable2").ok());
     // Simulate crash: drop the engine without Close() having flushed...
     // Close() in the destructor flushes, so instead copy the directory
     // state mid-life. Easiest honest crash test: kill the WAL tail.
@@ -131,8 +118,8 @@ TEST_F(EngineTest, CrashRecoveryFromWalWithoutClose) {
   }
   auto engine = Open();
   EXPECT_TRUE(engine->stats().wal_tail_corruption);
-  EXPECT_EQ(**engine->Get("durable"), "yes");
-  EXPECT_EQ((*engine->Get("torn"))->size(), 1000u);
+  EXPECT_EQ(Scan(engine.get()),
+            (Contents{{"durable", "yes"}, {"torn", std::string(1000, 'x')}}));
 }
 
 TEST_F(EngineTest, WalReplayRecoversUnflushedWrites) {
@@ -147,7 +134,7 @@ TEST_F(EngineTest, WalReplayRecoversUnflushedWrites) {
     auto engine = Open(options);
     ASSERT_TRUE(engine->Put("a", "1").ok());
     ASSERT_TRUE(engine->Put("b", "2").ok());
-    ASSERT_TRUE(engine->Delete("a").ok());
+    ASSERT_TRUE(engine->Put("a", "3").ok());
     Manifest manifest = *Manifest::Load(Env::Default(), dir_);
     wal_number = manifest.wal_number;
     wal_copy = *Env::Default()->ReadFileToString(
@@ -173,57 +160,51 @@ TEST_F(EngineTest, WalReplayRecoversUnflushedWrites) {
   }
   auto engine = Open();
   EXPECT_EQ(engine->stats().wal_replayed_records, 3u);
-  EXPECT_FALSE((*engine->Get("a")).has_value());  // Tombstone replayed.
-  EXPECT_EQ(**engine->Get("b"), "2");
+  // Replayed in order: the overwrite of "a" wins.
+  EXPECT_EQ(Scan(engine.get()), (Contents{{"a", "3"}, {"b", "2"}}));
 }
 
 TEST_F(EngineTest, AutomaticFlushOnMemtableFull) {
   EngineOptions options;
   options.memtable_bytes = 64 * 1024;
   auto engine = Open(options);
+  Contents model;
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(engine->Put(StringPrintf("key%05d", i),
-                            std::string(100, 'v')).ok());
+    std::string key = StringPrintf("key%05d", i);
+    ASSERT_TRUE(engine->Put(key, std::string(100, 'v')).ok());
+    model[key] = std::string(100, 'v');
   }
   EXPECT_GT(engine->stats().flushes, 0u);
   // Everything still readable across memtable + L0 (+ L1 after auto
   // compaction).
-  for (int i = 0; i < 2000; i += 113) {
-    auto hit = engine->Get(StringPrintf("key%05d", i));
-    ASSERT_TRUE(hit.ok());
-    EXPECT_TRUE(hit->has_value()) << i;
-  }
+  EXPECT_EQ(Scan(engine.get()), model);
 }
 
-TEST_F(EngineTest, CompactionDropsTombstonesAndMergesRuns) {
+TEST_F(EngineTest, CompactionMergesRunsNewestWins) {
   EngineOptions options;
   options.l0_compaction_trigger = 100;  // Manual compaction only.
   auto engine = Open(options);
+  Contents model;
   for (int round = 0; round < 3; ++round) {
     for (int i = round * 100; i < (round + 1) * 100; ++i) {
       ASSERT_TRUE(engine->Put(StringPrintf("key%05d", i), "v").ok());
+      model[StringPrintf("key%05d", i)] = "v";
     }
     ASSERT_TRUE(engine->Flush().ok());
   }
   for (int i = 0; i < 150; ++i) {
-    ASSERT_TRUE(engine->Delete(StringPrintf("key%05d", i)).ok());
+    ASSERT_TRUE(engine->Put(StringPrintf("key%05d", i), "newer").ok());
+    model[StringPrintf("key%05d", i)] = "newer";
   }
   ASSERT_TRUE(engine->Compact().ok());
   EXPECT_EQ(engine->stats().l0_files, 0);
   EXPECT_EQ(engine->stats().l1_files, 1);
-  // Deleted half gone, surviving half intact.
-  EXPECT_FALSE((*engine->Get("key00000")).has_value());
-  EXPECT_FALSE((*engine->Get("key00149")).has_value());
-  EXPECT_TRUE((*engine->Get("key00150")).has_value());
-  EXPECT_TRUE((*engine->Get("key00299")).has_value());
-  // The compacted table no longer carries the dead keys at all: count
-  // live entries via iterator.
-  auto it = engine->NewIterator();
-  int live = 0;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    ++live;
-  }
-  EXPECT_EQ(live, 150);
+  // One version per key survives, the newest.
+  EXPECT_EQ(Scan(engine.get()), model);
+  auto report = engine->VerifyIntegrity();
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->files.size(), 1u);
+  EXPECT_EQ(report->files[0].entries_scanned, 300u);
 }
 
 TEST_F(EngineTest, IteratorMergesAllLevelsNewestWins) {
@@ -235,15 +216,15 @@ TEST_F(EngineTest, IteratorMergesAllLevelsNewestWins) {
   ASSERT_TRUE(engine->Flush().ok());
   ASSERT_TRUE(engine->Put("a", "new").ok());
   ASSERT_TRUE(engine->Put("c", "mem").ok());
-  ASSERT_TRUE(engine->Delete("b").ok());
   auto it = engine->NewIterator();
   std::vector<std::pair<std::string, std::string>> seen;
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
     seen.emplace_back(std::string(it->key()), std::string(it->value()));
   }
-  ASSERT_EQ(seen.size(), 2u);
+  ASSERT_EQ(seen.size(), 3u);
   EXPECT_EQ(seen[0], std::make_pair(std::string("a"), std::string("new")));
-  EXPECT_EQ(seen[1], std::make_pair(std::string("c"), std::string("mem")));
+  EXPECT_EQ(seen[1], std::make_pair(std::string("b"), std::string("keep")));
+  EXPECT_EQ(seen[2], std::make_pair(std::string("c"), std::string("mem")));
 }
 
 TEST_F(EngineTest, RandomizedModelCheckWithReopen) {
@@ -257,19 +238,14 @@ TEST_F(EngineTest, RandomizedModelCheckWithReopen) {
     for (int op = 0; op < 5000; ++op) {
       std::string key = StringPrintf("k%03llu",
           static_cast<unsigned long long>(rng.Uniform(500)));
-      if (rng.OneIn(4)) {
-        ASSERT_TRUE(engine->Delete(key).ok());
-        model.erase(key);
-      } else {
-        std::string value = StringPrintf("v%llu",
-            static_cast<unsigned long long>(rng.Next64() % 1000));
-        ASSERT_TRUE(engine->Put(key, value).ok());
-        model[key] = value;
-      }
+      std::string value = StringPrintf("v%llu",
+          static_cast<unsigned long long>(rng.Next64() % 1000));
+      ASSERT_TRUE(engine->Put(key, value).ok());
+      model[key] = value;
       if (op % 1000 == 999) {
         std::string probe = StringPrintf("k%03llu",
             static_cast<unsigned long long>(rng.Uniform(500)));
-        auto hit = engine->Get(probe);
+        auto hit = tests::ScanGet(engine.get(), probe);
         ASSERT_TRUE(hit.ok());
         auto expected = model.find(probe);
         ASSERT_EQ(hit->has_value(), expected != model.end()) << probe;
@@ -297,7 +273,7 @@ TEST_F(EngineTest, SyncWritesModeWorks) {
   options.sync_writes = true;
   auto engine = Open(options);
   ASSERT_TRUE(engine->Put("k", "v").ok());
-  EXPECT_EQ(**engine->Get("k"), "v");
+  EXPECT_EQ(Scan(engine.get()), (Contents{{"k", "v"}}));
 }
 
 TEST_F(EngineTest, UseAfterCloseFails) {
@@ -306,7 +282,7 @@ TEST_F(EngineTest, UseAfterCloseFails) {
   EXPECT_TRUE(engine->Put("k", "v").IsFailedPrecondition());
 }
 
-TEST_F(EngineTest, CacheCountersMoveOnHotReRead) {
+TEST_F(EngineTest, WriteAndFlushCountersMove) {
   auto engine = Open();
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(engine->Put(StringPrintf("key%04d", i),
@@ -320,50 +296,9 @@ TEST_F(EngineTest, CacheCountersMoveOnHotReRead) {
     EXPECT_NE(metric, nullptr) << name;
     return metric == nullptr ? 0 : metric->counter;
   };
-
-  // Cold read: the table block is not cached yet.
-  uint64_t misses_before = counter("authidx_block_cache_misses_total");
-  ASSERT_TRUE(engine->Get("key0042").ok());
-  EXPECT_GT(counter("authidx_block_cache_misses_total"), misses_before);
-
-  // Hot re-reads of the same key only move the hit counter.
-  uint64_t hits_before = counter("authidx_block_cache_hits_total");
-  uint64_t misses_after_cold = counter("authidx_block_cache_misses_total");
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(engine->Get("key0042").ok());
-  }
-  EXPECT_GT(counter("authidx_block_cache_hits_total"), hits_before);
-  EXPECT_EQ(counter("authidx_block_cache_misses_total"), misses_after_cold);
-
-  // WAL and flush instruments saw the writes above.
   EXPECT_EQ(counter("authidx_storage_puts_total"), 200u);
   EXPECT_GE(counter("authidx_wal_appends_total"), 200u);
   EXPECT_EQ(counter("authidx_memtable_flushes_total"), 1u);
-}
-
-TEST_F(EngineTest, BloomCountersMoveOnMissingKeyLookups) {
-  auto engine = Open();
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(engine->Put(StringPrintf("key%04d", i), "v").ok());
-  }
-  ASSERT_TRUE(engine->Flush().ok());
-
-  auto counter = [&](const char* name) {
-    auto snap = engine->metrics().Snapshot();
-    const obs::MetricValue* metric = snap.Find(name);
-    EXPECT_NE(metric, nullptr) << name;
-    return metric == nullptr ? 0 : metric->counter;
-  };
-
-  uint64_t checks_before = counter("authidx_bloom_checks_total");
-  uint64_t negatives_before = counter("authidx_bloom_negatives_total");
-  for (int i = 0; i < 50; ++i) {
-    auto hit = engine->Get(StringPrintf("absent%04d", i));
-    ASSERT_TRUE(hit.ok());
-    EXPECT_FALSE(hit->has_value());
-  }
-  EXPECT_GT(counter("authidx_bloom_checks_total"), checks_before);
-  EXPECT_GT(counter("authidx_bloom_negatives_total"), negatives_before);
 }
 
 TEST_F(EngineTest, SharedRegistryReceivesEngineMetrics) {
@@ -405,15 +340,15 @@ TEST_F(EngineTest, DegradedEngineRejectsWritesButServesReads) {
   EXPECT_TRUE(rejected.IsIOError());
   EXPECT_NE(rejected.ToString().find("degraded"), std::string::npos)
       << rejected;
-  EXPECT_TRUE(engine->Delete("k").IsIOError());
+  WriteBatch batch;
+  batch.Put("k4", "x");
+  EXPECT_TRUE(engine->Apply(batch).IsIOError());
   EXPECT_TRUE(engine->Flush().IsIOError());
 
-  // Reads keep working by default, point lookups and scans alike.
-  EXPECT_EQ(**engine->Get("k"), "v");
-  auto it = engine->NewIterator();
-  it->SeekToFirst();
-  ASSERT_TRUE(it->Valid());
-  EXPECT_EQ(it->key(), "k");
+  // Reads keep working by default, seeks and full scans alike.
+  EXPECT_EQ(*tests::ScanGet(engine.get(), "k"),
+            std::optional<std::string>("v"));
+  EXPECT_EQ(Scan(engine.get()), (Contents{{"k", "v"}}));
 
   // The degraded gauge is visible to scrapers.
   auto snap = engine->metrics().Snapshot();
@@ -434,7 +369,6 @@ TEST_F(EngineTest, ParanoidChecksHaltReadsWhenDegraded) {
   ASSERT_TRUE(engine->Put("k2", "x").IsIOError());
   env.StopFailing();
   // Paranoid engines refuse reads too once degraded.
-  EXPECT_TRUE(engine->Get("k").status().IsIOError());
   auto it = engine->NewIterator();
   it->SeekToFirst();
   EXPECT_FALSE(it->Valid());
@@ -458,29 +392,26 @@ TEST_F(EngineTest, ReopenClearsBackgroundError) {
   auto engine = Open();
   EXPECT_FALSE(engine->degraded());
   EXPECT_TRUE(engine->background_error().ok());
-  EXPECT_EQ(**engine->Get("k"), "v");
+  EXPECT_EQ(Scan(engine.get()), (Contents{{"k", "v"}}));
   ASSERT_TRUE(engine->Put("k2", "now-works").ok());
-  EXPECT_EQ(**engine->Get("k2"), "now-works");
+  EXPECT_EQ(Scan(engine.get()), (Contents{{"k", "v"}, {"k2", "now-works"}}));
 }
 
-TEST_F(EngineTest, VerifyChecksumReadsAndIntegrityScanOnHealthyStore) {
-  EngineOptions options;
-  options.verify_checksums = true;  // Every read re-reads disk bytes.
-  auto engine = Open(options);
+TEST_F(EngineTest, ScansAndIntegrityScanOnHealthyStore) {
+  auto engine = Open();
+  Contents model;
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(engine->Put(StringPrintf("key%04d", i),
-                            StringPrintf("val%d", i)).ok());
+    model[StringPrintf("key%04d", i)] = StringPrintf("val%d", i);
+  }
+  for (const auto& [key, value] : model) {
+    ASSERT_TRUE(engine->Put(key, value).ok());
   }
   ASSERT_TRUE(engine->Flush().ok());
+  EXPECT_EQ(Scan(engine.get()), model);
   for (int i = 0; i < 200; i += 17) {
-    auto hit = engine->Get(StringPrintf("key%04d", i));
-    ASSERT_TRUE(hit.ok());
-    EXPECT_EQ(**hit, StringPrintf("val%d", i));
+    EXPECT_EQ(*tests::ScanGet(engine.get(), StringPrintf("key%04d", i)),
+              std::optional<std::string>(StringPrintf("val%d", i)));
   }
-  // Per-call override works regardless of the engine default.
-  ReadOptions verify;
-  verify.verify_checksums = true;
-  EXPECT_EQ(**engine->Get("key0000", verify), "val0");
   auto report = engine->VerifyIntegrity();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->clean());
@@ -527,6 +458,56 @@ TEST_F(EngineTest, VerifyIntegrityDetectsBitFlippedTable) {
   const obs::MetricValue* corrupt = snap.Find("authidx_corrupt_blocks_total");
   ASSERT_NE(corrupt, nullptr);
   EXPECT_GE(corrupt->counter, 1u);
+}
+
+// Records and values of the retired delete path were never written by
+// any production caller; a store that holds one is damaged, not old.
+TEST_F(EngineTest, DeleteOpInWalReadsAsCorruption) {
+  std::string del(1, 'D');
+  PutLengthPrefixed(&del, "k");
+  EXPECT_TRUE(StorageEngine::ForEachRecordOp(
+                  del, [](std::string_view, std::string_view) {})
+                  .IsCorruption());
+  {
+    Manifest manifest;
+    manifest.wal_number = 1;
+    manifest.next_file_number = 2;
+    ASSERT_TRUE(Env::Default()->CreateDirIfMissing(dir_).ok());
+    ASSERT_TRUE(manifest.Save(Env::Default(), dir_).ok());
+    auto wal = WalWriter::Open(Env::Default(), WalFileName(dir_, 1));
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE((*wal)->Append(StorageEngine::EncodePutRecord("k", "v")).ok());
+    ASSERT_TRUE((*wal)->Append(del).ok());
+    ASSERT_TRUE((*wal)->Close().ok());
+  }
+  auto engine = StorageEngine::Open(dir_, EngineOptions{});
+  ASSERT_FALSE(engine.ok());
+  EXPECT_TRUE(engine.status().IsCorruption()) << engine.status();
+}
+
+TEST_F(EngineTest, DeleteValueTagInTableReadsAsCorruption) {
+  {
+    ASSERT_TRUE(Env::Default()->CreateDirIfMissing(dir_).ok());
+    auto file = Env::Default()->NewWritableFile(TableFileName(dir_, 1));
+    ASSERT_TRUE(file.ok());
+    TableBuilder builder(TableBuilder::Options{}, file->get());
+    ASSERT_TRUE(builder.Add("a", "Pkept").ok());
+    ASSERT_TRUE(builder.Add("b", "D").ok());  // A retired tombstone.
+    ASSERT_TRUE(builder.Finish().ok());
+    ASSERT_TRUE((*file)->Close().ok());
+    Manifest manifest;
+    manifest.next_file_number = 2;
+    manifest.files.push_back({1, 0, 2, "a", "b"});
+    ASSERT_TRUE(manifest.Save(Env::Default(), dir_).ok());
+  }
+  auto engine = Open();
+  auto scanned = tests::ScanAll(engine.get());
+  EXPECT_TRUE(scanned.status().IsCorruption()) << scanned.status();
+  auto report = engine->VerifyIntegrity();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->corrupt_files, 1u);
+  EXPECT_TRUE(report->files[0].status.IsCorruption());
+  EXPECT_TRUE(engine->Compact().IsCorruption());
 }
 
 }  // namespace

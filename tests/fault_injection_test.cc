@@ -10,15 +10,26 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "authidx/common/env.h"
 #include "authidx/common/strings.h"
 #include "authidx/storage/engine.h"
+#include "engine_scan.h"
 #include "fault_env.h"
 
 namespace authidx::storage {
 namespace {
+
+// k000..k{n-1}, each -> "v": the contents most tests below write.
+std::map<std::string, std::string> Written(int n) {
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < n; ++i) {
+    model[StringPrintf("k%03d", i)] = "v";
+  }
+  return model;
+}
 
 class FaultInjectionTest : public ::testing::Test {
  protected:
@@ -47,10 +58,11 @@ TEST_F(FaultInjectionTest, PutSurfacesIOErrorWhenWalFails) {
   Status s = (*engine)->Put("after", "fails");
   EXPECT_TRUE(s.IsIOError()) << s;
   // Reads keep working on the pre-fault state — even while the env
-  // still fails, since lookups never touch the write path.
-  EXPECT_EQ(**(*engine)->Get("before"), "ok");
+  // still fails, since scans never touch the write path.
+  const std::map<std::string, std::string> before = {{"before", "ok"}};
+  EXPECT_EQ(*tests::ScanAll(engine->get()), before);
   faulty_env_.StopFailing();
-  EXPECT_EQ(**(*engine)->Get("before"), "ok");
+  EXPECT_EQ(*tests::ScanAll(engine->get()), before);
 }
 
 TEST_F(FaultInjectionTest, FlushFailureIsReportedNotSilent) {
@@ -63,7 +75,7 @@ TEST_F(FaultInjectionTest, FlushFailureIsReportedNotSilent) {
   EXPECT_TRUE((*engine)->Flush().IsIOError());
   faulty_env_.StopFailing();
   // Data still served from the memtable.
-  EXPECT_EQ(**(*engine)->Get("k050"), "v");
+  EXPECT_EQ(*tests::ScanAll(engine->get()), Written(100));
 }
 
 TEST_F(FaultInjectionTest, SyncedWritesBeforeFaultSurviveReopen) {
@@ -83,11 +95,8 @@ TEST_F(FaultInjectionTest, SyncedWritesBeforeFaultSurviveReopen) {
   faulty_env_.StopFailing();
   auto engine = StorageEngine::Open(dir_, EngineOptions{});
   ASSERT_TRUE(engine.ok()) << engine.status();
-  // All synced pre-fault writes recovered from the WAL.
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE((*(*engine)->Get(StringPrintf("k%03d", i))).has_value()) << i;
-  }
-  EXPECT_FALSE((*(*engine)->Get("lost")).has_value());
+  // All synced pre-fault writes recovered from the WAL, and nothing else.
+  EXPECT_EQ(*tests::ScanAll(engine->get()), Written(50));
 }
 
 TEST_F(FaultInjectionTest, OpenFailsCleanlyWhenDirUncreatable) {
@@ -117,7 +126,7 @@ TEST_F(FaultInjectionTest, TransientFlushFailureIsRetried) {
   const auto* retries = snap.Find("authidx_retries_total{op=\"flush\"}");
   ASSERT_NE(retries, nullptr);
   EXPECT_EQ(retries->counter, 1u);
-  EXPECT_EQ(**(*engine)->Get("k010"), "v");
+  EXPECT_EQ(*tests::ScanAll(engine->get()), Written(20));
 }
 
 // Exhausting the retry budget on a persistent failure trips the sticky
@@ -165,7 +174,7 @@ TEST_F(FaultInjectionTest, CompactionFailureDegradesEngineEndToEnd) {
   Status rejected = (*engine)->Put("more", "x");
   EXPECT_TRUE(rejected.IsIOError());
   EXPECT_NE(rejected.ToString().find("degraded"), std::string::npos);
-  EXPECT_EQ(**(*engine)->Get("k025"), "v");
+  EXPECT_EQ(*tests::ScanAll(engine->get()), Written(50));
   auto snap = (*engine)->metrics().Snapshot();
   const auto* degraded = snap.Find("authidx_degraded");
   ASSERT_NE(degraded, nullptr);
@@ -194,10 +203,7 @@ TEST_F(FaultInjectionTest, TornFinalWalAppendIsDiscardedOnRecovery) {
   faulty_env_.StopFailing();
   auto engine = StorageEngine::Open(dir_, EngineOptions{});
   ASSERT_TRUE(engine.ok()) << engine.status();
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE((*(*engine)->Get(StringPrintf("k%03d", i))).has_value()) << i;
-  }
-  EXPECT_FALSE((*(*engine)->Get("torn")).has_value());
+  EXPECT_EQ(*tests::ScanAll(engine->get()), Written(20));
   auto report = (*engine)->VerifyIntegrity();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->clean());
@@ -231,7 +237,7 @@ TEST_F(FaultInjectionTest, FailedObsoleteFileRemovalIsRetriedLater) {
     ASSERT_TRUE((*engine)->Put(StringPrintf("k%03d", i), "v").ok());
   }
   ASSERT_TRUE((*engine)->Flush().ok());
-  EXPECT_EQ(**(*engine)->Get("k030"), "v");
+  EXPECT_EQ(*tests::ScanAll(engine->get()), Written(40));
   // Only the engine's WAL + table + manifest files remain in the dir:
   // nothing the failed GC left behind outlives the sweep.
   auto listing = faulty_env_.ListDir(dir_);

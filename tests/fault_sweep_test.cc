@@ -1,4 +1,4 @@
-// Crash-consistency sweep: run a fixed put/delete workload against an
+// Crash-consistency sweep: run a fixed put workload against an
 // engine whose filesystem dies permanently at write-path op k — for
 // EVERY k from 0 to the op count of a fault-free run — then "crash"
 // (drop the engine), reopen on a healthy filesystem, and check the
@@ -11,6 +11,7 @@
 //     the pre-op or post-op state is accepted for that one key;
 //   * every write issued after the engine degraded was rejected fast
 //     and must NOT appear;
+//   * a full scan of the reopened store holds no key beyond that model;
 //   * VerifyIntegrity() reports the reopened store clean.
 //
 // A probabilistic variant repeats the same invariant under random fault
@@ -22,11 +23,11 @@
 
 #include <filesystem>
 #include <map>
-#include <optional>
 #include <string>
 
 #include "authidx/common/strings.h"
 #include "authidx/storage/engine.h"
+#include "engine_scan.h"
 #include "fault_env.h"
 
 namespace authidx::storage {
@@ -49,8 +50,6 @@ std::string ValueName(int i) {
   return StringPrintf("value-%04d-abcdefghijklmnop", i);
 }
 
-bool IsDeleteOp(int i) { return (i % 7) == 6; }
-
 EngineOptions SweepOptions(Env* env) {
   EngineOptions options;
   options.env = env;
@@ -70,7 +69,6 @@ struct RunResult {
   bool have_indeterminate = false;
   std::string ind_key;
   std::string ind_value;
-  bool ind_is_delete = false;
 };
 
 // Drives the workload until the first failure, then asserts fail-fast
@@ -85,25 +83,20 @@ RunResult RunWorkload(const std::string& dir, tests::FaultEnv* env) {
   r.open_ok = true;
   for (int i = 0; i < kOps; ++i) {
     std::string key = KeyName(i);
-    Status s = IsDeleteOp(i) ? (*engine)->Delete(key)
-                             : (*engine)->Put(key, ValueName(i));
-    if (s.ok()) {
-      if (IsDeleteOp(i)) {
-        r.expected.erase(key);
-      } else {
-        r.expected[key] = ValueName(i);
-      }
+    if ((*engine)->Put(key, ValueName(i)).ok()) {
+      r.expected[key] = ValueName(i);
       continue;
     }
     r.have_indeterminate = true;
     r.ind_key = key;
     r.ind_value = ValueName(i);
-    r.ind_is_delete = IsDeleteOp(i);
     // The error must be sticky: later writes are rejected before they
     // touch the WAL, and reads keep serving.
     EXPECT_TRUE((*engine)->degraded());
     EXPECT_FALSE((*engine)->Put("rejected-sentinel", "x").ok());
-    EXPECT_FALSE((*engine)->Delete("rejected-sentinel").ok());
+    WriteBatch batch;
+    batch.Put("rejected-sentinel", "y");
+    EXPECT_FALSE((*engine)->Apply(batch).ok());
     break;
   }
   return r;
@@ -114,38 +107,37 @@ void VerifyRecovered(const std::string& dir, const RunResult& r,
                      const std::string& label) {
   auto engine = StorageEngine::Open(dir, EngineOptions{});
   ASSERT_TRUE(engine.ok()) << label << ": reopen failed: " << engine.status();
-  for (int key_index = 0; key_index < kKeys; ++key_index) {
-    std::string key = StringPrintf("key%02d", key_index);
-    auto got = (*engine)->Get(key);
-    ASSERT_TRUE(got.ok()) << label << ": Get(" << key << ")";
+  auto scanned = tests::ScanAll(engine->get());
+  ASSERT_TRUE(scanned.ok()) << label << ": scan failed: " << scanned.status();
+  const std::map<std::string, std::string>& got = *scanned;
+  for (const auto& [key, want] : r.expected) {
     if (r.have_indeterminate && key == r.ind_key) {
-      // E0 (op never applied) or E1 (its WAL record was durable).
-      auto e0 = r.expected.find(key);
-      bool matches_e0 = e0 != r.expected.end()
-                            ? (got->has_value() && **got == e0->second)
-                            : !got->has_value();
-      bool matches_e1 = r.ind_is_delete
-                            ? !got->has_value()
-                            : (got->has_value() && **got == r.ind_value);
-      EXPECT_TRUE(matches_e0 || matches_e1)
-          << label << ": indeterminate key " << key << " holds neither the "
-          << "pre-op nor the post-op state";
-      continue;
+      continue;  // Checked below.
     }
-    auto want = r.expected.find(key);
-    if (want != r.expected.end()) {
-      ASSERT_TRUE(got->has_value())
-          << label << ": acknowledged write lost for " << key;
-      EXPECT_EQ(**got, want->second) << label << ": wrong value for " << key;
-    } else {
-      EXPECT_FALSE(got->has_value())
-          << label << ": unexpected value for " << key;
-    }
+    auto found = got.find(key);
+    ASSERT_NE(found, got.end())
+        << label << ": acknowledged write lost for " << key;
+    EXPECT_EQ(found->second, want) << label << ": wrong value for " << key;
   }
-  auto sentinel = (*engine)->Get("rejected-sentinel");
-  ASSERT_TRUE(sentinel.ok());
-  EXPECT_FALSE(sentinel->has_value())
+  if (r.have_indeterminate) {
+    // E0 (op never applied) or E1 (its WAL record was durable).
+    auto found = got.find(r.ind_key);
+    auto e0 = r.expected.find(r.ind_key);
+    bool matches_e0 = e0 != r.expected.end()
+                          ? (found != got.end() && found->second == e0->second)
+                          : found == got.end();
+    bool matches_e1 = found != got.end() && found->second == r.ind_value;
+    EXPECT_TRUE(matches_e0 || matches_e1)
+        << label << ": indeterminate key " << r.ind_key
+        << " holds neither the pre-op nor the post-op state";
+  }
+  EXPECT_EQ(got.count("rejected-sentinel"), 0u)
       << label << ": rejected write became durable";
+  for (const auto& [key, value] : got) {
+    EXPECT_TRUE(r.expected.count(key) > 0 ||
+                (r.have_indeterminate && key == r.ind_key))
+        << label << ": key " << key << " is beyond the model";
+  }
   auto report = (*engine)->VerifyIntegrity();
   ASSERT_TRUE(report.ok()) << label << ": " << report.status();
   EXPECT_TRUE(report->clean()) << label << ": integrity scan found damage ("

@@ -407,11 +407,11 @@ TEST_F(ObservabilityEndpointsTest, HealthzReflectsLoggerErrors) {
   EXPECT_EQ(response.status, 200);
   EXPECT_EQ(response.body, "ok\n");
 
-  logger_->Log(LogLevel::kError, "table_get_failed", {{"table", 9}});
+  logger_->Log(LogLevel::kError, "table_corrupt", {{"table", 9}});
   ASSERT_TRUE(Get(server_.port(), "/healthz", &response));
   EXPECT_EQ(response.status, 503);
   EXPECT_NE(response.body.find("degraded"), std::string::npos);
-  EXPECT_NE(response.body.find("table_get_failed"), std::string::npos);
+  EXPECT_NE(response.body.find("table_corrupt"), std::string::npos);
 }
 
 // /healthz against a persistent catalog whose storage engine trips its

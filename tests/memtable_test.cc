@@ -10,29 +10,20 @@
 namespace authidx::storage {
 namespace {
 
-TEST(MemTableTest, PutGetDelete) {
+TEST(MemTableTest, PutAndOverwrite) {
   MemTable table;
-  std::string value;
-  EXPECT_EQ(table.Get("k", &value), MemTable::GetResult::kNotFound);
+  auto it = table.NewIterator();
+  it->Seek("k");
+  EXPECT_FALSE(it->Valid());
   table.Put("k", "v1");
-  EXPECT_EQ(table.Get("k", &value), MemTable::GetResult::kFound);
-  EXPECT_EQ(value, "v1");
-  table.Put("k", "v2");  // Overwrite.
-  EXPECT_EQ(table.Get("k", &value), MemTable::GetResult::kFound);
-  EXPECT_EQ(value, "v2");
-  table.Delete("k");
-  EXPECT_EQ(table.Get("k", &value), MemTable::GetResult::kDeleted);
-  table.Put("k", "v3");  // Resurrect.
-  EXPECT_EQ(table.Get("k", &value), MemTable::GetResult::kFound);
-  EXPECT_EQ(value, "v3");
-}
-
-TEST(MemTableTest, DeleteOfUnknownKeyIsTombstone) {
-  MemTable table;
-  table.Delete("ghost");
-  std::string value;
-  EXPECT_EQ(table.Get("ghost", &value), MemTable::GetResult::kDeleted);
-  EXPECT_EQ(table.entry_count(), 1u);  // Tombstone occupies a node.
+  it->Seek("k");
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->value(), MemTable::TagPut("v1"));
+  table.Put("k", "v2");  // Overwrite in place.
+  it->Seek("k");
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->value(), MemTable::TagPut("v2"));
+  EXPECT_EQ(table.entry_count(), 1u);
 }
 
 TEST(MemTableTest, IteratorYieldsSortedKeysWithTags) {
@@ -40,18 +31,17 @@ TEST(MemTableTest, IteratorYieldsSortedKeysWithTags) {
   table.Put("delta", "4");
   table.Put("alpha", "1");
   table.Put("charlie", "3");
-  table.Delete("bravo");
   auto it = table.NewIterator();
-  std::vector<std::pair<std::string, bool>> seen;  // (key, is_tombstone).
+  std::vector<std::pair<std::string, std::string>> seen;
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    ASSERT_TRUE(MemTable::IsPutValue(it->value()));
     seen.emplace_back(std::string(it->key()),
-                      MemTable::IsTombstoneValue(it->value()));
+                      std::string(MemTable::StripTag(it->value())));
   }
-  ASSERT_EQ(seen.size(), 4u);
-  EXPECT_EQ(seen[0], std::make_pair(std::string("alpha"), false));
-  EXPECT_EQ(seen[1], std::make_pair(std::string("bravo"), true));
-  EXPECT_EQ(seen[2], std::make_pair(std::string("charlie"), false));
-  EXPECT_EQ(seen[3], std::make_pair(std::string("delta"), false));
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0], std::make_pair(std::string("alpha"), std::string("1")));
+  EXPECT_EQ(seen[1], std::make_pair(std::string("charlie"), std::string("3")));
+  EXPECT_EQ(seen[2], std::make_pair(std::string("delta"), std::string("4")));
 }
 
 TEST(MemTableTest, IteratorSeek) {
@@ -71,11 +61,13 @@ TEST(MemTableTest, IteratorSeek) {
 
 TEST(MemTableTest, TagHelpers) {
   std::string tagged = MemTable::TagPut("payload");
-  EXPECT_FALSE(MemTable::IsTombstoneValue(tagged));
+  EXPECT_TRUE(MemTable::IsPutValue(tagged));
   EXPECT_EQ(MemTable::StripTag(tagged), "payload");
-  std::string tombstone = MemTable::TagTombstone();
-  EXPECT_TRUE(MemTable::IsTombstoneValue(tombstone));
-  EXPECT_EQ(MemTable::StripTag(tombstone), "");
+  EXPECT_TRUE(MemTable::IsPutValue(MemTable::TagPut("")));
+  // The retired tombstone tag, and a value with no tag at all, are not
+  // put values: readers treat them as corruption.
+  EXPECT_FALSE(MemTable::IsPutValue("D"));
+  EXPECT_FALSE(MemTable::IsPutValue(""));
 }
 
 TEST(MemTableTest, MemoryUsageGrows) {
@@ -92,40 +84,33 @@ class MemTableModelTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(MemTableModelTest, AgreesWithStdMap) {
   Random rng(GetParam());
   MemTable table;
-  // Model: key -> (deleted?, value).
-  std::map<std::string, std::pair<bool, std::string>> model;
+  std::map<std::string, std::string> model;
   for (int op = 0; op < 30000; ++op) {
     std::string key = StringPrintf("k%04llu",
         static_cast<unsigned long long>(rng.Uniform(2000)));
-    if (rng.OneIn(4)) {
-      table.Delete(key);
-      model[key] = {true, ""};
-    } else {
-      std::string value = StringPrintf("v%llu",
-          static_cast<unsigned long long>(rng.Next64()));
-      table.Put(key, value);
-      model[key] = {false, value};
-    }
+    std::string value = StringPrintf("v%llu",
+        static_cast<unsigned long long>(rng.Next64()));
+    table.Put(key, value);
+    model[key] = value;
   }
-  for (const auto& [key, state] : model) {
-    std::string value;
-    MemTable::GetResult result = table.Get(key, &value);
-    if (state.first) {
-      ASSERT_EQ(result, MemTable::GetResult::kDeleted) << key;
-    } else {
-      ASSERT_EQ(result, MemTable::GetResult::kFound) << key;
-      ASSERT_EQ(value, state.second) << key;
-    }
+  // Seeks find every key with its latest value.
+  auto probe = table.NewIterator();
+  for (const auto& [key, value] : model) {
+    probe->Seek(key);
+    ASSERT_TRUE(probe->Valid()) << key;
+    ASSERT_EQ(probe->key(), key);
+    ASSERT_EQ(MemTable::StripTag(probe->value()), value) << key;
   }
   // Iterator agrees with the model's key order.
   auto it = table.NewIterator();
   it->SeekToFirst();
-  for (const auto& [key, state] : model) {
+  for (const auto& [key, value] : model) {
     ASSERT_TRUE(it->Valid());
     ASSERT_EQ(it->key(), key);
     it->Next();
   }
   EXPECT_FALSE(it->Valid());
+  EXPECT_EQ(table.entry_count(), model.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MemTableModelTest,

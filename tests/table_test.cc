@@ -6,6 +6,8 @@
 #include <fstream>
 #include <map>
 
+#include "authidx/common/coding.h"
+#include "authidx/common/crc32c.h"
 #include "authidx/common/strings.h"
 
 namespace authidx::storage {
@@ -53,31 +55,37 @@ class TableTest : public ::testing::Test {
   std::string path_;
 };
 
-TEST_F(TableTest, PointLookupsAcrossManyBlocks) {
+TEST_F(TableTest, SeekLookupsAcrossManyBlocks) {
   TableBuilder::Options options;
   options.block_bytes = 512;  // Force many data blocks.
   auto kvs = ManyKvs(3000);
   auto reader = BuildAndOpen(kvs, options);
+  auto it = reader->NewIterator();
   for (int i = 0; i < 3000; i += 37) {
     std::string key = StringPrintf("key%06d", i);
-    auto hit = reader->Get(key);
-    ASSERT_TRUE(hit.ok()) << hit.status();
-    ASSERT_TRUE(hit->has_value()) << key;
-    EXPECT_EQ(**hit, StringPrintf("value-%d", i));
+    it->Seek(key);
+    ASSERT_TRUE(it->status().ok()) << it->status();
+    ASSERT_TRUE(it->Valid()) << key;
+    EXPECT_EQ(it->key(), key);
+    EXPECT_EQ(it->value(), StringPrintf("value-%d", i));
   }
 }
 
-TEST_F(TableTest, AbsentKeysReturnNulloptAndHitBloom) {
-  auto reader = BuildAndOpen(ManyKvs(2000));
-  uint64_t misses = 0;
-  for (int i = 0; i < 2000; ++i) {
-    auto hit = reader->Get(StringPrintf("absent%06d", i));
-    ASSERT_TRUE(hit.ok());
-    EXPECT_FALSE(hit->has_value());
-    ++misses;
+TEST_F(TableTest, AbsentKeysSeekToTheirSuccessor) {
+  TableBuilder::Options options;
+  options.block_bytes = 256;
+  auto kvs = ManyKvs(2000);
+  auto reader = BuildAndOpen(kvs, options);
+  auto it = reader->NewIterator();
+  for (int i = 0; i < 1999; i += 13) {
+    // "key000013a" sorts between key000013 and key000014.
+    it->Seek(StringPrintf("key%06da", i));
+    ASSERT_TRUE(it->Valid());
+    EXPECT_EQ(it->key(), StringPrintf("key%06d", i + 1));
   }
-  // The Bloom filter must have short-circuited nearly all misses.
-  EXPECT_GT(reader->bloom_negative_count(), misses * 9 / 10);
+  it->Seek("key001999a");
+  EXPECT_FALSE(it->Valid());
+  EXPECT_TRUE(it->status().ok());
 }
 
 TEST_F(TableTest, FullIterationInOrder) {
@@ -129,15 +137,29 @@ TEST_F(TableTest, EmptyTableOpensAndIterates) {
   auto it = reader->NewIterator();
   it->SeekToFirst();
   EXPECT_FALSE(it->Valid());
-  auto hit = reader->Get("anything");
-  ASSERT_TRUE(hit.ok());
-  EXPECT_FALSE(hit->has_value());
+  it->Seek("anything");
+  EXPECT_FALSE(it->Valid());
+  EXPECT_TRUE(it->status().ok());
+}
+
+// The footer keeps a filter handle so files from before the Bloom filter
+// was dropped still open; new files write it empty.
+TEST_F(TableTest, FooterFilterHandleIsWrittenEmpty) {
+  BuildAndOpen(ManyKvs(100));
+  std::string data = *Env::Default()->ReadFileToString(path_);
+  constexpr size_t kFooterSize = 4 * 10 + 8;
+  ASSERT_GE(data.size(), kFooterSize);
+  std::string_view footer = std::string_view(data).substr(
+      data.size() - kFooterSize);
+  auto filter = BlockHandle::DecodeFrom(&footer);
+  ASSERT_TRUE(filter.ok());
+  EXPECT_EQ(filter->offset, 0u);
+  EXPECT_EQ(filter->size, 0u);
 }
 
 TEST_F(TableTest, CorruptedDataBlockDetected) {
   TableBuilder::Options options;
   options.block_bytes = 256;
-  options.bloom_bits_per_key = 2;  // Weak filter: more reads reach data.
   auto kvs = ManyKvs(500);
   BuildAndOpen(kvs, options);
   // Flip a byte early in the file (inside the first data block).
@@ -151,18 +173,41 @@ TEST_F(TableTest, CorruptedDataBlockDetected) {
     f.put(static_cast<char>(c ^ 0x40));
   }
   auto reader = TableReader::Open(Env::Default(), path_);
-  ASSERT_TRUE(reader.ok());  // Footer/index/filter are intact.
-  // A read touching the damaged block must report corruption, never
-  // wrong data.
-  bool saw_corruption = false;
-  for (int i = 0; i < 20 && !saw_corruption; ++i) {
-    auto hit = (*reader)->Get(StringPrintf("key%06d", i));
-    if (!hit.ok()) {
-      EXPECT_TRUE(hit.status().IsCorruption()) << hit.status();
-      saw_corruption = true;
-    }
+  ASSERT_TRUE(reader.ok());  // Footer and index are intact.
+  // A scan reaching the damaged block must stop with corruption, never
+  // yield wrong data.
+  auto it = (*reader)->NewIterator();
+  int yielded = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    EXPECT_EQ(it->value(), kvs.at(std::string(it->key())));
+    ++yielded;
   }
-  EXPECT_TRUE(saw_corruption);
+  EXPECT_TRUE(it->status().IsCorruption()) << it->status();
+  EXPECT_LT(yielded, 500);
+}
+
+// 'L' (per-block LZ compression) is a retired block type: a block that
+// carries it, even with a valid CRC, is corruption.
+TEST_F(TableTest, RetiredCompressedBlockTypeIsCorruption) {
+  std::map<std::string, std::string> kvs = {{"k", "v"}};
+  BuildAndOpen(kvs);
+  BlockBuilder same_block;
+  same_block.Add("k", "v");
+  const size_t payload_size = same_block.Finish().size();
+  std::string data = *Env::Default()->ReadFileToString(path_);
+  // The only data block sits at offset 0: payload | type | crc.
+  data[payload_size] = 'L';
+  uint32_t crc = crc32c::Extend(0, data.data(), payload_size + 1);
+  std::string masked;
+  PutFixed32(&masked, crc32c::Mask(crc));
+  data.replace(payload_size + 1, 4, masked);
+  ASSERT_TRUE(Env::Default()->WriteStringToFileSync(path_, data).ok());
+  auto reader = TableReader::Open(Env::Default(), path_);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  auto it = (*reader)->NewIterator();
+  it->SeekToFirst();
+  EXPECT_FALSE(it->Valid());
+  EXPECT_TRUE(it->status().IsCorruption()) << it->status();
 }
 
 TEST_F(TableTest, TruncatedFileRejectedAtOpen) {
@@ -191,11 +236,13 @@ TEST_F(TableTest, LargeValuesRoundTrip) {
   kvs["big2"] = std::string(50000, 'y');
   kvs["small"] = "s";
   auto reader = BuildAndOpen(kvs);
-  auto hit = reader->Get("big1");
-  ASSERT_TRUE(hit.ok());
-  ASSERT_TRUE(hit->has_value());
-  EXPECT_EQ(hit->value().size(), 100000u);
-  EXPECT_EQ((*reader->Get("small"))->front(), 's');
+  auto it = reader->NewIterator();
+  std::map<std::string, std::string> read;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    read.emplace(it->key(), it->value());
+  }
+  EXPECT_TRUE(it->status().ok());
+  EXPECT_EQ(read, kvs);
 }
 
 }  // namespace

@@ -7,31 +7,30 @@
 
 #include "authidx/common/strings.h"
 #include "authidx/storage/engine.h"
+#include "engine_scan.h"
 
 namespace authidx::storage {
 namespace {
 
+using Contents = std::map<std::string, std::string>;
+
 TEST(WriteBatchTest, BuildAndIterate) {
   WriteBatch batch;
   batch.Put("a", "1");
-  batch.Delete("b");
   batch.Put("c", "3");
+  batch.Put("a", "2");
   EXPECT_EQ(batch.count(), 3u);
   std::vector<std::string> ops;
-  ASSERT_TRUE(WriteBatch::Iterate(
-                  batch.rep(),
-                  [&](std::string_view k, std::string_view v) {
-                    ops.push_back("put " + std::string(k) + "=" +
-                                  std::string(v));
-                  },
-                  [&](std::string_view k) {
-                    ops.push_back("del " + std::string(k));
-                  })
+  ASSERT_TRUE(WriteBatch::Iterate(batch.rep(),
+                                  [&](std::string_view k, std::string_view v) {
+                                    ops.push_back(std::string(k) + "=" +
+                                                  std::string(v));
+                                  })
                   .ok());
   ASSERT_EQ(ops.size(), 3u);
-  EXPECT_EQ(ops[0], "put a=1");
-  EXPECT_EQ(ops[1], "del b");
-  EXPECT_EQ(ops[2], "put c=3");
+  EXPECT_EQ(ops[0], "a=1");
+  EXPECT_EQ(ops[1], "c=3");
+  EXPECT_EQ(ops[2], "a=2");
 }
 
 TEST(WriteBatchTest, ClearResets) {
@@ -44,12 +43,13 @@ TEST(WriteBatchTest, ClearResets) {
 
 TEST(WriteBatchTest, IterateRejectsGarbage) {
   auto nop_put = [](std::string_view, std::string_view) {};
-  auto nop_del = [](std::string_view) {};
-  EXPECT_TRUE(WriteBatch::Iterate("X", nop_put, nop_del).IsCorruption());
+  EXPECT_TRUE(WriteBatch::Iterate("X", nop_put).IsCorruption());
+  // The retired delete op ('D' + length-prefixed key) is corruption too.
+  EXPECT_TRUE(WriteBatch::Iterate("D\x01k", nop_put).IsCorruption());
   WriteBatch batch;
   batch.Put("key", "value");
   std::string truncated = batch.rep().substr(0, batch.rep().size() - 2);
-  EXPECT_TRUE(WriteBatch::Iterate(truncated, nop_put, nop_del).IsCorruption());
+  EXPECT_TRUE(WriteBatch::Iterate(truncated, nop_put).IsCorruption());
 }
 
 TEST(WriteBatchTest, BinarySafety) {
@@ -57,14 +57,12 @@ TEST(WriteBatchTest, BinarySafety) {
   std::string key("k\0ey", 4), value("v\xffl", 3);
   batch.Put(key, value);
   bool seen = false;
-  ASSERT_TRUE(WriteBatch::Iterate(
-                  batch.rep(),
-                  [&](std::string_view k, std::string_view v) {
-                    EXPECT_EQ(k, key);
-                    EXPECT_EQ(v, value);
-                    seen = true;
-                  },
-                  [](std::string_view) {})
+  ASSERT_TRUE(WriteBatch::Iterate(batch.rep(),
+                                  [&](std::string_view k, std::string_view v) {
+                                    EXPECT_EQ(k, key);
+                                    EXPECT_EQ(v, value);
+                                    seen = true;
+                                  })
                   .ok());
   EXPECT_TRUE(seen);
 }
@@ -92,12 +90,11 @@ TEST_F(BatchEngineTest, ApplyIsVisibleImmediately) {
   WriteBatch batch;
   batch.Put("a", "1");
   batch.Put("b", "2");
-  batch.Delete("a");
+  batch.Put("a", "3");
   ASSERT_TRUE(engine->Apply(batch).ok());
-  EXPECT_FALSE((*engine->Get("a")).has_value());
-  EXPECT_EQ(**engine->Get("b"), "2");
-  EXPECT_EQ(engine->stats().puts, 2u);
-  EXPECT_EQ(engine->stats().deletes, 1u);
+  // Applied in order: the later put of "a" wins.
+  EXPECT_EQ(*tests::ScanAll(engine.get()), (Contents{{"a", "3"}, {"b", "2"}}));
+  EXPECT_EQ(engine->stats().puts, 3u);
 }
 
 TEST_F(BatchEngineTest, EmptyBatchIsNoop) {
@@ -116,14 +113,15 @@ TEST_F(BatchEngineTest, BatchSurvivesWalRecovery) {
     for (int i = 0; i < 100; ++i) {
       batch.Put(StringPrintf("key%03d", i), StringPrintf("v%d", i));
     }
-    batch.Delete("key050");
     ASSERT_TRUE(engine->Apply(batch).ok());
     ASSERT_TRUE(engine->Close().ok());
   }
   auto engine = Open();
-  EXPECT_EQ(**engine->Get("key000"), "v0");
-  EXPECT_EQ(**engine->Get("key099"), "v99");
-  EXPECT_FALSE((*engine->Get("key050")).has_value());
+  Contents model;
+  for (int i = 0; i < 100; ++i) {
+    model[StringPrintf("key%03d", i)] = StringPrintf("v%d", i);
+  }
+  EXPECT_EQ(*tests::ScanAll(engine.get()), model);
 }
 
 TEST_F(BatchEngineTest, TornBatchIsAllOrNothing) {
@@ -166,11 +164,7 @@ TEST_F(BatchEngineTest, TornBatchIsAllOrNothing) {
   EXPECT_TRUE(engine->stats().wal_tail_corruption);
   // The single put before the batch survived; the torn batch vanished
   // entirely (no partial application).
-  EXPECT_EQ(**engine->Get("before"), "1");
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_FALSE((*engine->Get(StringPrintf("batch%03d", i))).has_value())
-        << i;
-  }
+  EXPECT_EQ(*tests::ScanAll(engine.get()), (Contents{{"before", "1"}}));
 }
 
 TEST_F(BatchEngineTest, LargeBatchTriggersFlush) {
@@ -183,8 +177,12 @@ TEST_F(BatchEngineTest, LargeBatchTriggersFlush) {
   }
   ASSERT_TRUE(engine->Apply(batch).ok());
   EXPECT_GT(engine->stats().flushes, 0u);
-  EXPECT_EQ(**engine->Get("key00000"), std::string(64, 'v'));
-  EXPECT_EQ(**engine->Get("key01999"), std::string(64, 'v'));
+  auto scanned = tests::ScanAll(engine.get());
+  ASSERT_TRUE(scanned.ok()) << scanned.status();
+  EXPECT_EQ(scanned->size(), 2000u);
+  for (const auto& [key, value] : *scanned) {
+    EXPECT_EQ(value, std::string(64, 'v')) << key;
+  }
 }
 
 }  // namespace

@@ -20,7 +20,10 @@ With `--diff BASELINE.json`, the freshly merged results are also
 compared against a previous artifact: every benchmark present in both
 files is matched by (binary, name) and its real_time delta reported
 when it moved more than `--diff-threshold` percent (default 10) in
-either direction. The diff is a report, not a gate — timing noise on
+either direction. Baseline benchmarks absent from the new run (removed,
+renamed, or not selected by `--only` / `--benchmark-filter`) are
+counted and named per binary, so a diff that compares fewer benchmarks
+says why. The diff is a report, not a gate — timing noise on
 shared CI runners would make a hard threshold flaky — so it never
 changes the exit status.
 
@@ -85,9 +88,11 @@ def diff_against_baseline(merged, baseline_path: Path, threshold_pct: float):
 
     moved = []
     compared = 0
+    seen = set()
     for binary, entries in merged["benchmarks"].items():
         for entry in entries:
             key = (binary, entry.get("name"))
+            seen.add(key)
             base = base_times.get(key)
             now = entry.get("real_time")
             if base is None or now is None or base <= 0:
@@ -105,6 +110,17 @@ def diff_against_baseline(merged, baseline_path: Path, threshold_pct: float):
         direction = "slower" if delta_pct > 0 else "faster"
         print(f"  {binary}/{name}: {base:.0f} -> {now:.0f} ns "
               f"({abs(delta_pct):.1f}% {direction})")
+
+    absent = {}
+    for binary, name in base_times:
+        if (binary, name) not in seen:
+            absent.setdefault(binary, []).append(name)
+    if absent:
+        count = sum(len(names) for names in absent.values())
+        print(f"{count} baseline benchmarks absent from this run "
+              "(not compared):")
+        for binary in sorted(absent):
+            print(f"  {binary}: {', '.join(absent[binary])}")
 
 
 def main() -> int:
